@@ -2,9 +2,9 @@
 //!
 //! The workspace runs one of three distance-kernel tiers: scalar
 //! (pinned by `--features paper-fidelity`), unrolled, or explicit AVX2
-//! simd — selected at runtime via [`KernelTier`]. These tests pin a
-//! golden FNV-1a digest of full search traces; the SAME constant must
-//! hold under every tier, so one `cargo test` run on an AVX2 host plus
+//! simd — selected at runtime via [`KernelTier`]. These tests pin
+//! golden FNV-1a digests of full search traces, one per routing routine;
+//! the SAME constants must hold under every tier, so one `cargo test` run on an AVX2 host plus
 //! the `paper-fidelity` CI job proves all three kernel flavors route
 //! searches identically.
 //!
@@ -17,9 +17,10 @@
 //! on [`TIER_LOCK`] so libtest's parallel runner cannot interleave them.
 
 use std::sync::Mutex;
-use weavess_core::search::{beam_search, SearchScratch, SearchStats};
-use weavess_data::{Dataset, KernelTier};
+use weavess_core::search::{beam_search, filtered_beam_search, Router, SearchScratch, SearchStats};
+use weavess_data::{Dataset, KernelTier, Neighbor};
 use weavess_graph::base::exact_knng;
+use weavess_graph::CsrGraph;
 
 /// Serializes tests that force the process-wide kernel tier.
 static TIER_LOCK: Mutex<()> = Mutex::new(());
@@ -61,9 +62,19 @@ fn fnv1a(digest: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Runs beam search for a block of queries and digests ids, distance bits,
-/// and work counters.
-fn search_digest() -> u64 {
+/// One routine under test: `(base, graph, query, seeds, scratch, stats)`.
+type Route<'a> = &'a dyn Fn(
+    &Dataset,
+    &CsrGraph,
+    &[f32],
+    &[u32],
+    &mut SearchScratch,
+    &mut SearchStats,
+) -> Vec<Neighbor>;
+
+/// Runs `route` for a block of queries and digests ids, distance bits,
+/// `ndc` and `hops`; returns the digest and the accumulated stats.
+fn route_digest(route: Route) -> (u64, SearchStats) {
     let base = integer_dataset(600, 24);
     let queries = integer_dataset(40, 24);
     let g = exact_knng(&base, 10, 2);
@@ -73,12 +84,11 @@ fn search_digest() -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325_u64;
     for qi in 0..queries.len() as u32 {
         scratch.next_epoch();
-        let res = beam_search(
+        let res = route(
             &base,
             &g,
             queries.point(qi),
             &seeds,
-            32,
             &mut scratch,
             &mut stats,
         );
@@ -89,7 +99,54 @@ fn search_digest() -> u64 {
     }
     fnv1a(&mut digest, &stats.ndc.to_le_bytes());
     fnv1a(&mut digest, &stats.hops.to_le_bytes());
+    (digest, stats)
+}
+
+/// Runs beam search for a block of queries and digests ids, distance bits,
+/// and work counters.
+fn search_digest() -> u64 {
+    route_digest(&|ds, g, q, seeds, scratch, stats| {
+        beam_search(ds, g, q, seeds, 32, scratch, stats)
+    })
+    .0
+}
+
+/// [`route_digest`] with `pool_peak` folded in too.
+fn full_digest(route: Route) -> u64 {
+    let (mut digest, stats) = route_digest(route);
+    fnv1a(&mut digest, &stats.pool_peak.to_le_bytes());
     digest
+}
+
+/// One digest per routine: every [`Router`] variant plus the filtered
+/// search, each at beam 32.
+fn router_digests() -> Vec<(String, u64)> {
+    let routers = [
+        Router::BestFirst,
+        Router::Range { epsilon: 0.2 },
+        Router::Backtrack { extra: 4 },
+        Router::Guided,
+        Router::TwoStage {
+            stage1_beam_frac: 0.5,
+        },
+    ];
+    let mut out: Vec<(String, u64)> = routers
+        .iter()
+        .map(|r| {
+            let d = full_digest(&|ds, g, q, seeds, scratch, stats| {
+                r.search(ds, g, q, seeds, 32, scratch, stats)
+            });
+            (format!("{r:?}"), d)
+        })
+        .collect();
+    let filter = |id: u32| id.is_multiple_of(3);
+    out.push((
+        "filtered(id % 3 == 0)".into(),
+        full_digest(&|ds, g, q, seeds, scratch, stats| {
+            filtered_beam_search(ds, g, q, seeds, 10, 32, &filter, scratch, stats)
+        }),
+    ));
+    out
 }
 
 /// Golden digest: identical under every runnable kernel tier — the test
@@ -193,5 +250,34 @@ fn kernel_flavors_bit_equal_on_integer_data() {
             unrolled::squared_euclidean(x, y).to_bits()
         );
         assert_eq!(scalar::dot(x, y).to_bits(), unrolled::dot(x, y).to_bits());
+    }
+}
+
+/// Golden per-routine digests (ids, distance bits, `ndc`, `hops` and
+/// `pool_peak`), in [`router_digests`] order. Like the beam-search digest
+/// above, each must hold under every runnable kernel tier; a change to any
+/// router's route moves its constant.
+#[test]
+fn every_router_digest_is_kernel_tier_independent() {
+    const GOLDEN: [u64; 6] = [
+        0xb6a0_2f77_3a4e_9ed6, // BestFirst
+        0x2f12_481d_e820_f269, // Range { epsilon: 0.2 }
+        0xd7a9_67a6_e109_a169, // Backtrack { extra: 4 }
+        0x61ca_5537_199a_b87f, // Guided
+        0x44b6_52ae_c8aa_39b7, // TwoStage { stage1_beam_frac: 0.5 }
+        0xbdcb_c109_e3ed_c8ff, // filtered, id % 3 == 0
+    ];
+    let _guard = TIER_LOCK.lock().unwrap();
+    let initial = KernelTier::active();
+    for tier in runnable_tiers() {
+        if !cfg!(feature = "paper-fidelity") {
+            KernelTier::force(tier).unwrap();
+        }
+        for ((name, got), want) in router_digests().into_iter().zip(GOLDEN) {
+            assert_eq!(got, want, "{name} route diverged on tier {tier}");
+        }
+    }
+    if !cfg!(feature = "paper-fidelity") {
+        KernelTier::force(initial).unwrap();
     }
 }
