@@ -2,15 +2,15 @@
 //!
 //! Builds one NSG index, then re-hosts it on every cell of the
 //! {original, BFS-reordered} × {split CSR+matrix, fused arena} matrix and
-//! measures fixed-beam search with software prefetch off and on. The
+//! measures fixed-beam search (software prefetch is always on). The
 //! layout layer's contract is that only the memory-access pattern moves:
 //! every cell must return bit-identical results (ids and distance bits,
 //! after mapping through the permutation) and identical NDC/hops to the
 //! plain [`FlatIndex`] baseline — the table reports that identity check
 //! next to each QPS figure.
 //!
-//! `--smoke` shrinks the dataset for CI. The host's
-//! `available_parallelism` is recorded so QPS numbers read honestly.
+//! `--smoke` shrinks the dataset for CI. The host (CPU model, features
+//! and `available_parallelism`) is recorded so QPS numbers read honestly.
 
 use std::time::Instant;
 use weavess_bench::report::{banner, f, Table};
@@ -21,7 +21,6 @@ use weavess_core::search::SearchStats;
 use weavess_core::{LayoutIndex, NodeLayout};
 use weavess_data::ground_truth::ground_truth;
 use weavess_data::metrics::recall;
-use weavess_data::prefetch::set_prefetch_enabled;
 use weavess_data::synthetic::MixtureSpec;
 use weavess_data::{Dataset, Neighbor};
 
@@ -87,7 +86,6 @@ struct Cell {
     label: String,
     reordered: bool,
     layout: &'static str,
-    prefetch: bool,
     qps: f64,
     recall_at_10: f64,
     ndc: u64,
@@ -115,6 +113,11 @@ fn main() {
     } else {
         "default"
     };
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name"))
+        .map_or("unknown", |l| l.trim_start_matches([' ', '\t', ':']));
     banner(&format!(
         "Memory layout bench (mode={mode}, n={n}, dim={dim}, beam={BEAM}, host cores={host})"
     ));
@@ -132,9 +135,7 @@ fn main() {
     let flat = nsg::build(&base, &NsgParams::tuned(host, SEED));
     println!("built NSG in {:.1}s", t0.elapsed().as_secs_f64());
 
-    // Baseline: the FlatIndex as every earlier PR measured it (prefetch
-    // on — the global default).
-    set_prefetch_enabled(true);
+    // Baseline: the plain FlatIndex.
     let (baseline, baseline_stats) = run_all(&flat, &base, &queries);
     let baseline_qps = measure_qps(&flat, &base, &queries);
     let base_recall: f64 = (0..queries.len())
@@ -147,7 +148,6 @@ fn main() {
 
     let mut table = Table::new(vec![
         "layout".to_string(),
-        "prefetch".to_string(),
         "QPS".to_string(),
         "vs split".to_string(),
         "Recall@10".to_string(),
@@ -160,70 +160,63 @@ fn main() {
         for layout in [NodeLayout::Split, NodeLayout::Fused] {
             let li = LayoutIndex::from_flat(clone_flat(&flat), &base, layout, reordered);
             let stats = li.layout_stats();
-            for prefetch in [false, true] {
-                set_prefetch_enabled(prefetch);
-                let (results, search_stats) = run_all(&li, &base, &queries);
-                let qps = measure_qps(&li, &base, &queries);
-                let results_identical = identical(&results, &baseline)
-                    && search_stats.ndc == baseline_stats.ndc
-                    && search_stats.hops == baseline_stats.hops;
-                assert!(
-                    results_identical,
-                    "layout={layout:?} reordered={reordered} prefetch={prefetch} \
-                     diverged from the FlatIndex baseline"
-                );
-                let recall_at_10: f64 = (0..queries.len())
-                    .map(|i| {
-                        let ids: Vec<u32> = results[i].iter().map(|n| n.id).collect();
-                        recall(&ids, &gt[i])
-                    })
-                    .sum::<f64>()
-                    / queries.len() as f64;
-                let label = format!(
-                    "{}+{}",
-                    if reordered { "reordered" } else { "original" },
-                    if layout == NodeLayout::Fused {
-                        "fused"
-                    } else {
-                        "split"
-                    }
-                );
-                if !reordered && layout == NodeLayout::Split && !prefetch {
-                    split_baseline_qps = qps;
+            let (results, search_stats) = run_all(&li, &base, &queries);
+            let qps = measure_qps(&li, &base, &queries);
+            let results_identical = identical(&results, &baseline)
+                && search_stats.ndc == baseline_stats.ndc
+                && search_stats.hops == baseline_stats.hops;
+            assert!(
+                results_identical,
+                "layout={layout:?} reordered={reordered} diverged from the FlatIndex baseline"
+            );
+            let recall_at_10: f64 = (0..queries.len())
+                .map(|i| {
+                    let ids: Vec<u32> = results[i].iter().map(|n| n.id).collect();
+                    recall(&ids, &gt[i])
+                })
+                .sum::<f64>()
+                / queries.len() as f64;
+            let label = format!(
+                "{}+{}",
+                if reordered { "reordered" } else { "original" },
+                if layout == NodeLayout::Fused {
+                    "fused"
+                } else {
+                    "split"
                 }
-                table.row(vec![
-                    label.clone(),
-                    if prefetch { "on" } else { "off" }.to_string(),
-                    f(qps, 0),
-                    format!("{:.2}x", qps / split_baseline_qps),
-                    f(recall_at_10, 4),
-                    search_stats.ndc.to_string(),
-                    results_identical.to_string(),
-                ]);
-                cells.push(Cell {
-                    label,
-                    reordered,
-                    layout: if layout == NodeLayout::Fused {
-                        "fused"
-                    } else {
-                        "split"
-                    },
-                    prefetch,
-                    qps,
-                    recall_at_10,
-                    ndc: search_stats.ndc,
-                    hops: search_stats.hops,
-                    results_identical,
-                    graph_bytes: stats.graph_bytes,
-                    vector_bytes: stats.vector_bytes,
-                    arena_bytes: stats.arena_bytes,
-                    arena_padding_bytes: stats.arena_padding_bytes,
-                    permutation_bytes: stats.permutation_bytes,
-                });
+            );
+            if !reordered && layout == NodeLayout::Split {
+                split_baseline_qps = qps;
             }
+            table.row(vec![
+                label.clone(),
+                f(qps, 0),
+                format!("{:.2}x", qps / split_baseline_qps),
+                f(recall_at_10, 4),
+                search_stats.ndc.to_string(),
+                results_identical.to_string(),
+            ]);
+            cells.push(Cell {
+                label,
+                reordered,
+                layout: if layout == NodeLayout::Fused {
+                    "fused"
+                } else {
+                    "split"
+                },
+                qps,
+                recall_at_10,
+                ndc: search_stats.ndc,
+                hops: search_stats.hops,
+                results_identical,
+                graph_bytes: stats.graph_bytes,
+                vector_bytes: stats.vector_bytes,
+                arena_bytes: stats.arena_bytes,
+                arena_padding_bytes: stats.arena_padding_bytes,
+                permutation_bytes: stats.permutation_bytes,
+            });
         }
     }
-    set_prefetch_enabled(true);
     table.print();
     println!(
         "\nFlatIndex baseline: QPS={} Recall@10={} NDC={}",
@@ -234,9 +227,8 @@ fn main() {
 
     let best = cells.iter().max_by(|a, b| a.qps.total_cmp(&b.qps)).unwrap();
     println!(
-        "best cell: {} prefetch={} at {:.2}x the split/no-prefetch QPS",
+        "best cell: {} at {:.2}x the original+split QPS",
         best.label,
-        if best.prefetch { "on" } else { "off" },
         best.qps / split_baseline_qps
     );
 
@@ -244,14 +236,13 @@ fn main() {
     let mut cell_json = String::new();
     for c in &cells {
         cell_json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"reordered\": {}, \"layout\": \"{}\", \"prefetch\": {}, \
+            "    {{\"label\": \"{}\", \"reordered\": {}, \"layout\": \"{}\", \
              \"qps\": {:.1}, \"recall_at_10\": {:.4}, \"ndc\": {}, \"hops\": {}, \
              \"results_identical\": {}, \"graph_bytes\": {}, \"vector_bytes\": {}, \
              \"arena_bytes\": {}, \"arena_padding_bytes\": {}, \"permutation_bytes\": {}}},\n",
             c.label,
             c.reordered,
             c.layout,
-            c.prefetch,
             c.qps,
             c.recall_at_10,
             c.ndc,
@@ -267,7 +258,7 @@ fn main() {
     cell_json.truncate(cell_json.trim_end_matches(",\n").len());
     let json = format!(
         "{{\n  \"bench\": \"layout\",\n  \"mode\": \"{mode}\",\n  \"smoke\": {smoke},\n  \
-         \"host_available_parallelism\": {host},\n  \
+         \"host_cpu\": \"{cpu}\",\n  \"host_available_parallelism\": {host},\n  \
          \"host_features\": \"{}\",\n  \"kernel_tier\": \"{}\",\n  \"n\": {n},\n  \"dim\": {dim},\n  \
          \"k\": {K},\n  \"beam\": {BEAM},\n  \"baseline\": {{\"qps\": {baseline_qps:.1}, \
          \"recall_at_10\": {base_recall:.4}, \"ndc\": {}}},\n  \"cells\": [\n{cell_json}\n  ]\n}}\n",

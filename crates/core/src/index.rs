@@ -2,7 +2,7 @@
 
 use crate::components::SeedStrategy;
 use crate::search::{Router, SearchScratch, SearchStats};
-use crate::telemetry::RouteTracer;
+use crate::telemetry::{NoopTracer, RouteTracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use weavess_data::{Dataset, Neighbor};
@@ -147,6 +147,36 @@ pub struct FlatIndex {
     pub router: Router,
 }
 
+impl FlatIndex {
+    /// The one routing body behind [`AnnIndex::search`] and
+    /// [`AnnIndex::search_traced`].
+    fn route<T: RouteTracer>(
+        &self,
+        ds: &Dataset,
+        query: &[f32],
+        k: usize,
+        beam: usize,
+        ctx: &mut SearchContext,
+        tracer: &mut T,
+    ) -> Vec<Neighbor> {
+        let beam = beam.max(k);
+        let seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
+        ctx.scratch.next_epoch();
+        let mut pool = self.router.search_traced(
+            ds,
+            &self.graph,
+            query,
+            &seeds,
+            beam,
+            &mut ctx.scratch,
+            &mut ctx.stats,
+            tracer,
+        );
+        pool.truncate(k);
+        pool
+    }
+}
+
 impl AnnIndex for FlatIndex {
     fn name(&self) -> &'static str {
         self.name
@@ -160,20 +190,7 @@ impl AnnIndex for FlatIndex {
         beam: usize,
         ctx: &mut SearchContext,
     ) -> Vec<Neighbor> {
-        let beam = beam.max(k);
-        let seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
-        ctx.scratch.next_epoch();
-        let mut pool = self.router.search(
-            ds,
-            &self.graph,
-            query,
-            &seeds,
-            beam,
-            &mut ctx.scratch,
-            &mut ctx.stats,
-        );
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut NoopTracer)
     }
 
     fn search_traced(
@@ -185,21 +202,7 @@ impl AnnIndex for FlatIndex {
         ctx: &mut SearchContext,
         mut tracer: &mut dyn RouteTracer,
     ) -> Vec<Neighbor> {
-        let beam = beam.max(k);
-        let seeds = self.seeds.seeds(ds, query, &mut ctx.rng, &mut ctx.stats);
-        ctx.scratch.next_epoch();
-        let mut pool = self.router.search_traced(
-            ds,
-            &self.graph,
-            query,
-            &seeds,
-            beam,
-            &mut ctx.scratch,
-            &mut ctx.stats,
-            &mut tracer,
-        );
-        pool.truncate(k);
-        pool
+        self.route(ds, query, k, beam, ctx, &mut tracer)
     }
 
     fn graph(&self) -> &CsrGraph {

@@ -3,21 +3,46 @@
 //! §4.2 / §3.2 (A3): best-first search is susceptible to local optima;
 //! FANNG "uses backtrack to the second-closest vertex and considers its
 //! edges that have not been explored yet". We run best-first to
-//! convergence while recording every candidate that fell off the bounded
-//! pool, then spend up to `extra` additional expansions on the nearest of
-//! those rejected candidates — slightly better accuracy for notably more
-//! search time, the trade-off Figure 10(f) reports for `C7_FANNG`.
+//! convergence while keeping every scored candidate the bounded pool
+//! rejected at insertion (beyond capacity, or a duplicate), then spend up
+//! to `extra` additional expansions on the nearest of those rejected
+//! candidates — slightly better accuracy for notably more search time, the
+//! trade-off Figure 10(f) reports for `C7_FANNG`. Entries that enter the
+//! pool and are later pushed off its end by nearer candidates are dropped,
+//! not kept for backtracking.
 
-use super::scratch::SearchScratch;
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
+use super::expand::ExpandPolicy;
+use super::{Router, SearchScratch, SearchStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use weavess_data::neighbor::insert_into_pool;
-use weavess_data::prefetch::prefetch_enabled;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
+
+/// The backtracking policy: rejected candidates wait in the overflow
+/// min-heap; after each convergence the nearest one is expanded, while
+/// the budget lasts. Each resumed expansion counts as a hop.
+pub(super) struct Backtrack {
+    /// Backtrack expansions left.
+    pub(super) budget: usize,
+}
+
+impl ExpandPolicy for Backtrack {
+    #[inline(always)]
+    fn on_rejected(&mut self, overflow: &mut BinaryHeap<Reverse<Neighbor>>, n: Neighbor) {
+        overflow.push(Reverse(n));
+    }
+
+    #[inline(always)]
+    fn resume(&mut self, overflow: &mut BinaryHeap<Reverse<Neighbor>>) -> Option<Neighbor> {
+        if self.budget == 0 {
+            return None;
+        }
+        let Reverse(c) = overflow.pop()?;
+        self.budget -= 1;
+        Some(c)
+    }
+}
 
 /// Backtracking best-first search from `seeds`. Expansion is batch-scored
 /// like [`super::beam_search`]; insertions stay in adjacency order, so
@@ -33,163 +58,7 @@ pub fn backtrack_search(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    backtrack_search_traced(
-        ds,
-        g,
-        query,
-        seeds,
-        beam,
-        extra,
-        scratch,
-        stats,
-        &mut NoopTracer,
-    )
-}
-
-/// [`backtrack_search`] with a [`RouteTracer`]. Both best-first and
-/// backtrack expansions are reported as hops, in expansion order.
-#[allow(clippy::too_many_arguments)]
-pub fn backtrack_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    extra: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        expanded,
-        heap: overflow,
-        batch_ids,
-        batch_dists,
-        ..
-    } = scratch;
-    pool.clear();
-    expanded.clear();
-    overflow.clear();
-
-    // Plain best-first phase, tracking rejected candidates.
-    let push = |pool: &mut Vec<Neighbor>,
-                expanded: &mut Vec<bool>,
-                overflow: &mut BinaryHeap<Reverse<Neighbor>>,
-                n: Neighbor|
-     -> Option<usize> {
-        match insert_into_pool(pool, beam, n) {
-            Some(pos) => {
-                expanded.insert(pos, false);
-                if expanded.len() > pool.len() {
-                    // An entry fell off the end of the bounded pool; it is a
-                    // backtracking candidate now.
-                    expanded.truncate(pool.len());
-                }
-                Some(pos)
-            }
-            None => {
-                overflow.push(Reverse(n));
-                None
-            }
-        }
-    };
-
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            push(pool, expanded, overflow, Neighbor::new(s, d));
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-
-    let mut budget = extra;
-    loop {
-        let mut k = 0usize;
-        let mut progressed = false;
-        while k < pool.len() {
-            if expanded[k] {
-                k += 1;
-                continue;
-            }
-            expanded[k] = true;
-            progressed = true;
-            stats.hops += 1;
-            let v = pool[k].id;
-            tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
-            if pf {
-                if let Some(next) = pool.get(k + 1) {
-                    g.prefetch_neighbors(next.id);
-                }
-            }
-            batch_ids.clear();
-            for &u in g.neighbors(v) {
-                if visited.visit(u) {
-                    if pf {
-                        ds.prefetch_vector(u);
-                    }
-                    batch_ids.push(u);
-                }
-            }
-            stats.ndc += batch_ids.len() as u64;
-            ds.dist_to_many(query, batch_ids, batch_dists);
-            let mut lowest = usize::MAX;
-            for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-                if let Some(pos) = push(pool, expanded, overflow, Neighbor::new(u, d)) {
-                    lowest = lowest.min(pos);
-                }
-            }
-            stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-            // <= : an insertion at exactly k means the expanded entry
-            // shifted right and an unexpanded one now sits at k.
-            if lowest <= k {
-                k = lowest;
-            } else {
-                k += 1;
-            }
-        }
-        // Converged. Backtrack into the nearest rejected candidate, if any
-        // budget remains.
-        if budget == 0 {
-            break;
-        }
-        let Some(Reverse(c)) = overflow.pop() else {
-            break;
-        };
-        budget -= 1;
-        stats.hops += 1;
-        tracer.on_hop(c.id, c.dist, stats.ndc, pool.len());
-        batch_ids.clear();
-        for &u in g.neighbors(c.id) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut injected = false;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if push(pool, expanded, overflow, Neighbor::new(u, d)).is_some() {
-                injected = true;
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        if !injected && !progressed {
-            // Neither the main loop nor backtracking changed anything.
-            if overflow.is_empty() {
-                break;
-            }
-        }
-    }
-    pool.clone()
+    Router::Backtrack { extra }.search(ds, g, query, seeds, beam, scratch, stats)
 }
 
 #[cfg(test)]

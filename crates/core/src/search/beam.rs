@@ -1,10 +1,7 @@
 //! Best-first search — the paper's Algorithm 1 (Appendix F), C7's
 //! dominant implementation.
 
-use super::scratch::{insert_unexpanded, SearchScratch};
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
-use weavess_data::prefetch::prefetch_enabled;
+use super::{Router, SearchScratch, SearchStats};
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
@@ -31,19 +28,13 @@ use weavess_graph::adjacency::GraphView;
 /// The pool is a fixed-capacity sorted array; each iteration expands the
 /// nearest unexpanded candidate and inserts its neighbors, exactly the
 /// candidate-set discipline of Definition 4.7. Terminates when every pool
-/// entry is expanded (the result set can no longer improve).
-///
-/// Expansion is batch-scored: all not-yet-visited neighbors of the
-/// expanded vertex are staged and scored with one
-/// [`VectorView::dist_to_many`] call, then inserted in the original
-/// adjacency order — visit order, distances, and hence results are
-/// bit-identical to scoring one neighbor at a time.
+/// entry is expanded (the result set can no longer improve). Expansion is
+/// batch-scored in adjacency order with software prefetch, in the one
+/// loop every bounded-pool router shares (DESIGN.md §C7).
 ///
 /// `ds` is any [`VectorView`]: the raw [`weavess_data::Dataset`], an SQ8
-/// code table, or a fused node arena. While vertex `k` is expanded the
-/// next pool candidate's node block and each staged neighbor's vector are
-/// prefetched — pure hints, so results are identical with prefetch on or
-/// off.
+/// code table, or a fused node arena. To observe the route, use
+/// [`Router::search_traced`] with [`Router::BestFirst`].
 pub fn beam_search(
     ds: &(impl VectorView + ?Sized),
     g: &(impl GraphView + ?Sized),
@@ -53,177 +44,7 @@ pub fn beam_search(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    beam_search_traced(ds, g, query, seeds, beam, scratch, stats, &mut NoopTracer)
-}
-
-/// [`beam_search`] with a [`RouteTracer`] observing seeds and expansions.
-/// The tracer is monomorphized; with [`NoopTracer`] every hook inlines to
-/// nothing and this is exactly [`beam_search`].
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        expanded,
-        batch_ids,
-        batch_dists,
-        ..
-    } = scratch;
-    pool.clear();
-    expanded.clear();
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            insert_unexpanded(pool, expanded, beam, Neighbor::new(s, d));
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-
-    let mut k = 0usize;
-    while k < pool.len() {
-        if expanded[k] {
-            k += 1;
-            continue;
-        }
-        expanded[k] = true;
-        stats.hops += 1;
-        let v = pool[k].id;
-        tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.get(k + 1) {
-                g.prefetch_neighbors(next.id);
-            }
-        }
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest_insert = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = insert_unexpanded(pool, expanded, beam, Neighbor::new(u, d)) {
-                lowest_insert = lowest_insert.min(pos);
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        // Resume from the nearest new candidate if one arrived at or
-        // above k (an insertion at exactly k shifts the just-expanded
-        // entry right, leaving an unexpanded candidate at k).
-        if lowest_insert <= k {
-            k = lowest_insert;
-        } else {
-            k += 1;
-        }
-    }
-    pool.clone()
-}
-
-/// Best-first continuation from an already-scored pool: entries enter the
-/// pool *without* re-computing distances or touching the visited set (they
-/// must already be marked visited this epoch). The two-stage router uses
-/// this so stage 2 pays only for vertices stage 1 never scored.
-pub fn beam_search_seeded(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    scored: &[Neighbor],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    beam_search_seeded_traced(ds, g, query, scored, beam, scratch, stats, &mut NoopTracer)
-}
-
-/// [`beam_search_seeded`] with a [`RouteTracer`]. Pre-scored entries were
-/// already reported by the stage that scored them, so only expansions are
-/// traced here.
-#[allow(clippy::too_many_arguments)]
-pub fn beam_search_seeded_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    scored: &[Neighbor],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        expanded,
-        batch_ids,
-        batch_dists,
-        ..
-    } = scratch;
-    pool.clear();
-    expanded.clear();
-    for &n in scored {
-        debug_assert!(visited.is_visited(n.id));
-        insert_unexpanded(pool, expanded, beam, n);
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    let mut k = 0usize;
-    while k < pool.len() {
-        if expanded[k] {
-            k += 1;
-            continue;
-        }
-        expanded[k] = true;
-        stats.hops += 1;
-        let v = pool[k].id;
-        tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.get(k + 1) {
-                g.prefetch_neighbors(next.id);
-            }
-        }
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest_insert = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = insert_unexpanded(pool, expanded, beam, Neighbor::new(u, d)) {
-                lowest_insert = lowest_insert.min(pos);
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        if lowest_insert <= k {
-            k = lowest_insert;
-        } else {
-            k += 1;
-        }
-    }
-    pool.clone()
+    Router::BestFirst.search(ds, g, query, seeds, beam, scratch, stats)
 }
 
 #[cfg(test)]
@@ -367,7 +188,7 @@ mod tests {
         let mut traced = SearchStats::default();
         let mut tracer = crate::telemetry::RecordingTracer::default();
         scratch.next_epoch();
-        let b = beam_search_traced(
+        let b = Router::BestFirst.search_traced(
             &ds,
             &g,
             qs.point(0),

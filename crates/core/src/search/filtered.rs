@@ -10,21 +10,44 @@
 //! The search ends when the traversal pool converges and the result pool
 //! holds `k` passing vertices no frontier candidate can improve.
 
+use super::expand::{expand_loop, ExpandPolicy, Seeds};
 use super::scratch::SearchScratch;
 use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
+use crate::telemetry::NoopTracer;
 use weavess_data::neighbor::insert_into_pool;
-use weavess_data::prefetch::prefetch_enabled;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
 
+/// Admits every scored vertex that passes `filter` into a result pool of
+/// `k`, which is what the search returns; the traversal itself is plain
+/// best-first.
+struct Filtered<'f> {
+    filter: &'f dyn Fn(u32) -> bool,
+    k: usize,
+}
+
+impl ExpandPolicy for Filtered<'_> {
+    #[inline(always)]
+    fn on_scored(&mut self, results: &mut Vec<Neighbor>, n: Neighbor) {
+        if (self.filter)(n.id) {
+            insert_into_pool(results, self.k, n);
+        }
+    }
+
+    #[inline(always)]
+    fn answer<'s>(_pool: &'s [Neighbor], results: &'s [Neighbor]) -> &'s [Neighbor] {
+        results
+    }
+}
+
 /// Best-first search returning only vertices accepted by `filter`.
 ///
-/// `beam` bounds the traversal pool as usual; the result pool holds up to
-/// `k` accepted vertices. With a constant-true filter this returns exactly
-/// the top-k of [`super::beam_search`]. Expansion is batch-scored like
-/// `beam_search`, preserving per-neighbor insertion order.
+/// `beam` bounds the traversal pool as usual (and `pool_peak` tracks it);
+/// the result pool holds up to `k` accepted vertices. With a constant-true
+/// filter this returns exactly the top-k of [`super::beam_search`].
+/// Expansion is batch-scored like `beam_search`, preserving per-neighbor
+/// insertion order.
 #[allow(clippy::too_many_arguments)]
 pub fn filtered_beam_search(
     ds: &(impl VectorView + ?Sized),
@@ -37,121 +60,12 @@ pub fn filtered_beam_search(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    filtered_beam_search_traced(
-        ds,
-        g,
-        query,
-        seeds,
-        k,
-        beam,
+    let policy = Filtered {
         filter,
-        scratch,
-        stats,
-        &mut NoopTracer,
-    )
-}
-
-/// [`filtered_beam_search`] with a [`RouteTracer`] observing the
-/// (unfiltered) traversal; `pool_peak` tracks the traversal pool.
-#[allow(clippy::too_many_arguments)]
-pub fn filtered_beam_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    k: usize,
-    beam: usize,
-    filter: &dyn Fn(u32) -> bool,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let k = k.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        expanded,
-        results,
-        batch_ids,
-        batch_dists,
-        ..
-    } = scratch;
-    // Traversal pool (unfiltered) with expansion flags; result pool
-    // (filtered).
-    pool.clear();
-    expanded.clear();
-    results.clear();
-
-    let push = |pool: &mut Vec<Neighbor>,
-                expanded: &mut Vec<bool>,
-                results: &mut Vec<Neighbor>,
-                n: Neighbor|
-     -> Option<usize> {
-        if filter(n.id) {
-            insert_into_pool(results, k, n);
-        }
-        let pos = insert_into_pool(pool, beam, n);
-        if let Some(p) = pos {
-            expanded.insert(p, false);
-            expanded.truncate(pool.len());
-        }
-        pos
+        k: k.max(1),
     };
-
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            push(pool, expanded, results, Neighbor::new(s, d));
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-
-    let mut i = 0usize;
-    while i < pool.len() {
-        if expanded[i] {
-            i += 1;
-            continue;
-        }
-        expanded[i] = true;
-        stats.hops += 1;
-        let v = pool[i].id;
-        tracer.on_hop(v, pool[i].dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.get(i + 1) {
-                g.prefetch_neighbors(next.id);
-            }
-        }
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = push(pool, expanded, results, Neighbor::new(u, d)) {
-                lowest = lowest.min(pos);
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        // <= : an insertion at exactly i means the expanded entry
-        // shifted right and an unexpanded one now sits at i.
-        if lowest <= i {
-            i = lowest;
-        } else {
-            i += 1;
-        }
-    }
-    results.clone()
+    let (seeds, tracer) = (Seeds::Ids(seeds), &mut NoopTracer);
+    expand_loop(ds, g, query, seeds, beam, scratch, stats, tracer, policy).to_vec()
 }
 
 #[cfg(test)]

@@ -12,80 +12,27 @@
 //! direction along `d*`. Neighbors aligned with the query's dominant
 //! direction always pass.
 
-use super::scratch::{insert_unexpanded, SearchScratch};
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
-use weavess_data::prefetch::prefetch_enabled;
+use super::expand::ExpandPolicy;
+use super::{Router, SearchScratch, SearchStats};
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
 
-/// Guided best-first search from `seeds`.
-///
-/// Requires a [`VectorView`] with raw coordinates ([`VectorView::vector`])
-/// for the direction gate — SQ8-only storage cannot run guided search.
-pub fn guided_search(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    guided_search_traced(ds, g, query, seeds, beam, scratch, stats, &mut NoopTracer)
+/// The direction gate, re-aimed at every expanded vertex `x`: a neighbor
+/// passes when it lies on the query's side of `x` along `d*`.
+#[derive(Default)]
+pub(super) struct Guided {
+    /// The dominant coordinate `d*`.
+    dim: usize,
+    /// `x[d*]`.
+    pivot: f32,
+    /// Whether the query lies on the positive side: `query[d*] >= x[d*]`.
+    positive: bool,
 }
 
-/// [`guided_search`] with a [`RouteTracer`]. Gated-out neighbors are
-/// invisible to the tracer (they are never scored); only scored seeds and
-/// expanded vertices are reported.
-#[allow(clippy::too_many_arguments)]
-pub fn guided_search_traced<T: RouteTracer>(
-    ds: &(impl VectorView + ?Sized),
-    g: &(impl GraphView + ?Sized),
-    query: &[f32],
-    seeds: &[u32],
-    beam: usize,
-    scratch: &mut SearchScratch,
-    stats: &mut SearchStats,
-    tracer: &mut T,
-) -> Vec<Neighbor> {
-    let beam = beam.max(1);
-    let pf = prefetch_enabled();
-    let SearchScratch {
-        visited,
-        pool,
-        expanded,
-        batch_ids,
-        batch_dists,
-        ..
-    } = scratch;
-    pool.clear();
-    expanded.clear();
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            insert_unexpanded(pool, expanded, beam, Neighbor::new(s, d));
-        }
-    }
-    stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-    let mut k = 0usize;
-    while k < pool.len() {
-        if expanded[k] {
-            k += 1;
-            continue;
-        }
-        expanded[k] = true;
-        stats.hops += 1;
-        let v = pool[k].id;
-        tracer.on_hop(v, pool[k].dist, stats.ndc, pool.len());
-        if pf {
-            if let Some(next) = pool.get(k + 1) {
-                g.prefetch_neighbors(next.id);
-            }
-        }
+impl ExpandPolicy for Guided {
+    #[inline(always)]
+    fn begin_hop(&mut self, ds: &(impl VectorView + ?Sized), query: &[f32], v: u32) {
         let x = ds.vector(v);
         // Dominant query direction at x: one O(dim) scan per expansion.
         let mut dstar = 0usize;
@@ -97,41 +44,34 @@ pub fn guided_search_traced<T: RouteTracer>(
                 dstar = d;
             }
         }
-        let want_positive = query[dstar] >= x[dstar];
-        // Stage the neighbors that survive the direction gate, then score
-        // them in one batched pass (order preserved, so results are
-        // identical to per-neighbor scoring).
-        batch_ids.clear();
-        for &u in g.neighbors(v) {
-            if visited.is_visited(u) {
-                continue;
-            }
-            let nu = ds.vector(u);
-            let goes_positive = nu[dstar] >= x[dstar];
-            if goes_positive != want_positive {
-                continue; // gated out: moves away from the query
-            }
-            visited.visit(u);
-            batch_ids.push(u);
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        let mut lowest = usize::MAX;
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            if let Some(pos) = insert_unexpanded(pool, expanded, beam, Neighbor::new(u, d)) {
-                lowest = lowest.min(pos);
-            }
-        }
-        stats.pool_peak = stats.pool_peak.max(pool.len() as u64);
-        // <= : an insertion at exactly k means the expanded entry
-        // shifted right and an unexpanded one now sits at k.
-        if lowest <= k {
-            k = lowest;
-        } else {
-            k += 1;
-        }
+        self.dim = dstar;
+        self.pivot = x[dstar];
+        self.positive = query[dstar] >= x[dstar];
     }
-    pool.clone()
+
+    #[inline(always)]
+    fn admits(&self, ds: &(impl VectorView + ?Sized), u: u32) -> bool {
+        // Gated out when it moves away from the query along d*.
+        (ds.vector(u)[self.dim] >= self.pivot) == self.positive
+    }
+}
+
+/// Guided best-first search from `seeds`.
+///
+/// Requires a [`VectorView`] with raw coordinates ([`VectorView::vector`])
+/// for the direction gate — SQ8-only storage cannot run guided search.
+/// Gated-out neighbors are never scored, so a tracer sees only scored
+/// seeds and expanded vertices.
+pub fn guided_search(
+    ds: &(impl VectorView + ?Sized),
+    g: &(impl GraphView + ?Sized),
+    query: &[f32],
+    seeds: &[u32],
+    beam: usize,
+    scratch: &mut SearchScratch,
+    stats: &mut SearchStats,
+) -> Vec<Neighbor> {
+    Router::Guided.search(ds, g, query, seeds, beam, scratch, stats)
 }
 
 #[cfg(test)]

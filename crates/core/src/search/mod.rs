@@ -6,24 +6,33 @@
 //! `ndc` (number of distance computations — the denominator of the paper's
 //! *speedup* metric) and `hops` (expanded vertices — the paper's *query
 //! path length*, which proxies I/O count on disk-resident indexes, §5.3).
+//!
+//! Best-first, guided, backtracking, two-stage and filtered search all run
+//! one expansion loop (Algorithm 1) with a small per-router policy; range
+//! search keeps its own unbounded-queue loop. [`Router::search_traced`] is
+//! the one traced entry point.
 
 mod backtrack;
 mod beam;
+mod expand;
 pub mod filtered;
 mod guided;
 mod range;
 mod scratch;
 mod visited;
 
-pub use backtrack::{backtrack_search, backtrack_search_traced};
-pub use beam::{beam_search, beam_search_seeded, beam_search_seeded_traced, beam_search_traced};
-pub use filtered::{filtered_beam_search, filtered_beam_search_traced};
-pub use guided::{guided_search, guided_search_traced};
-pub use range::{range_search, range_search_traced};
+pub use backtrack::backtrack_search;
+pub use beam::beam_search;
+pub use filtered::filtered_beam_search;
+pub use guided::guided_search;
+pub use range::range_search;
 pub use scratch::SearchScratch;
 pub use visited::VisitedPool;
 
 use crate::telemetry::{NoopTracer, RouteTracer};
+use backtrack::Backtrack;
+use expand::{expand_loop, BestFirst, Seeds};
+use guided::Guided;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
@@ -105,10 +114,10 @@ impl Router {
         self.search_traced(ds, g, query, seeds, beam, scratch, stats, &mut NoopTracer)
     }
 
-    /// [`Router::search`] with a [`RouteTracer`] observing the route. The
-    /// tracer is a monomorphized generic: with [`NoopTracer`] the hook
-    /// calls inline to nothing and this compiles to exactly
-    /// [`Router::search`].
+    /// [`Router::search`] with a [`RouteTracer`] observing the route — the
+    /// one traced entry point of every router. The tracer is a
+    /// monomorphized generic: with [`NoopTracer`] the hook calls inline to
+    /// nothing and this compiles to exactly [`Router::search`].
     #[allow(clippy::too_many_arguments)]
     pub fn search_traced<T: RouteTracer>(
         &self,
@@ -121,33 +130,39 @@ impl Router {
         stats: &mut SearchStats,
         tracer: &mut T,
     ) -> Vec<Neighbor> {
-        match *self {
+        let pool = match *self {
             Router::BestFirst => {
-                beam_search_traced(ds, g, query, seeds, beam, scratch, stats, tracer)
+                let seeds = Seeds::Ids(seeds);
+                expand_loop(ds, g, query, seeds, beam, scratch, stats, tracer, BestFirst)
             }
             Router::Range { epsilon } => {
-                range_search_traced(ds, g, query, seeds, beam, epsilon, scratch, stats, tracer)
+                range::range_loop(ds, g, query, seeds, beam, epsilon, scratch, stats, tracer)
             }
             Router::Backtrack { extra } => {
-                backtrack_search_traced(ds, g, query, seeds, beam, extra, scratch, stats, tracer)
+                let (seeds, policy) = (Seeds::Ids(seeds), Backtrack { budget: extra });
+                expand_loop(ds, g, query, seeds, beam, scratch, stats, tracer, policy)
             }
             Router::Guided => {
-                guided_search_traced(ds, g, query, seeds, beam, scratch, stats, tracer)
+                let (seeds, policy) = (Seeds::Ids(seeds), Guided::default());
+                expand_loop(ds, g, query, seeds, beam, scratch, stats, tracer, policy)
             }
             Router::TwoStage { stage1_beam_frac } => {
                 let b1 = ((beam as f32 * stage1_beam_frac) as usize).max(4).min(beam);
-                let stage1 = guided_search_traced(ds, g, query, seeds, b1, scratch, stats, tracer);
-                if stage1.is_empty() {
-                    return stage1;
+                let (seeds, policy) = (Seeds::Ids(seeds), Guided::default());
+                if expand_loop(ds, g, query, seeds, b1, scratch, stats, tracer, policy).is_empty() {
+                    return Vec::new();
                 }
                 // Stage 2 continues from stage 1's already-scored pool in
                 // the same visited epoch: the full beam re-expands every
                 // frontier vertex, but only vertices stage 1 *gated out*
                 // (guided search leaves skipped neighbors unvisited) cost
-                // new distance computations.
-                beam_search_seeded_traced(ds, g, query, &stage1, beam, scratch, stats, tracer)
+                // new distance computations. Its entries were reported as
+                // seeds or hops by stage 1, so only expansions are traced.
+                let (seeds, policy) = (Seeds::Pool, BestFirst);
+                expand_loop(ds, g, query, seeds, beam, scratch, stats, tracer, policy)
             }
-        }
+        };
+        pool.to_vec()
     }
 }
 

@@ -7,12 +7,11 @@
 //! cost of more distance computations — the "precision ceiling" behaviour
 //! the component evaluation observes for `C7_NGT` (Figure 10f).
 
-use super::scratch::SearchScratch;
-use super::SearchStats;
-use crate::telemetry::{NoopTracer, RouteTracer};
+use super::expand::{score_neighbors, score_seeds};
+use super::{Router, SearchScratch, SearchStats};
+use crate::telemetry::RouteTracer;
 use std::cmp::Reverse;
 use weavess_data::neighbor::insert_into_pool;
-use weavess_data::prefetch::prefetch_enabled;
 use weavess_data::vectors::VectorView;
 use weavess_data::Neighbor;
 use weavess_graph::adjacency::GraphView;
@@ -34,92 +33,64 @@ pub fn range_search(
     scratch: &mut SearchScratch,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    range_search_traced(
-        ds,
-        g,
-        query,
-        seeds,
-        beam,
-        epsilon,
-        scratch,
-        stats,
-        &mut NoopTracer,
-    )
+    Router::Range { epsilon }.search(ds, g, query, seeds, beam, scratch, stats)
 }
 
-/// [`range_search`] with a [`RouteTracer`]. The reported pool occupancy is
-/// the unbounded candidate queue's length at expansion time, and
-/// `pool_peak` tracks the queue's high-water mark.
+/// The range-search loop. Its candidate queue is an unbounded min-heap
+/// rather than the bounded pool of [`super::expand`], so it is not an
+/// expansion policy; seed scoring and neighbor staging are shared. The
+/// pool occupancy reported to the tracer is the queue's length at
+/// expansion time, and `pool_peak` tracks the queue's high-water mark.
 #[allow(clippy::too_many_arguments)]
-pub fn range_search_traced<T: RouteTracer>(
+pub(super) fn range_loop<'s, T: RouteTracer>(
     ds: &(impl VectorView + ?Sized),
     g: &(impl GraphView + ?Sized),
     query: &[f32],
     seeds: &[u32],
     beam: usize,
     epsilon: f32,
-    scratch: &mut SearchScratch,
+    scratch: &'s mut SearchScratch,
     stats: &mut SearchStats,
     tracer: &mut T,
-) -> Vec<Neighbor> {
+) -> &'s [Neighbor] {
     let beam = beam.max(1);
-    let pf = prefetch_enabled();
     let inflate = (1.0 + epsilon.max(0.0)).powi(2); // squared-distance space
     let SearchScratch {
         visited,
         results,
         heap: queue,
-        batch_ids,
-        batch_dists,
+        batch_ids: ids,
+        batch_dists: dists,
         ..
     } = scratch;
     results.clear();
     queue.clear();
-    for &s in seeds {
-        if visited.visit(s) {
-            stats.ndc += 1;
-            let d = ds.dist_to(query, s);
-            tracer.on_seed(s, d);
-            let n = Neighbor::new(s, d);
-            insert_into_pool(results, beam, n);
-            queue.push(Reverse(n));
-        }
-    }
+    score_seeds(ds, query, seeds, visited, stats, tracer, |n| {
+        insert_into_pool(results, beam, n);
+        queue.push(Reverse(n));
+    });
     stats.pool_peak = stats.pool_peak.max(queue.len() as u64);
-    while let Some(Reverse(c)) = queue.pop() {
-        let radius = if results.len() == beam {
+    // The acceptance radius: the current worst result once `beam` are held.
+    let radius = |results: &[Neighbor]| {
+        if results.len() == beam {
             results.last().map_or(f32::INFINITY, |w| w.dist)
         } else {
             f32::INFINITY
-        };
-        if c.dist > inflate * radius {
+        }
+    };
+    while let Some(Reverse(c)) = queue.pop() {
+        if c.dist > inflate * radius(results) {
             break; // nothing left within the inflated radius
         }
         stats.hops += 1;
         tracer.on_hop(c.id, c.dist, stats.ndc, queue.len());
-        if pf {
-            if let Some(Reverse(next)) = queue.peek() {
-                g.prefetch_neighbors(next.id);
-            }
+        if let Some(Reverse(next)) = queue.peek() {
+            g.prefetch_neighbors(next.id);
         }
-        batch_ids.clear();
-        for &u in g.neighbors(c.id) {
-            if visited.visit(u) {
-                if pf {
-                    ds.prefetch_vector(u);
-                }
-                batch_ids.push(u);
-            }
-        }
-        stats.ndc += batch_ids.len() as u64;
-        ds.dist_to_many(query, batch_ids, batch_dists);
-        for (&u, &d) in batch_ids.iter().zip(batch_dists.iter()) {
-            let radius = if results.len() == beam {
-                results.last().map_or(f32::INFINITY, |w| w.dist)
-            } else {
-                f32::INFINITY
-            };
-            if d < inflate * radius {
+        let gate = |_| true;
+        score_neighbors(ds, g, query, c.id, visited, ids, dists, stats, gate);
+        for (&u, &d) in ids.iter().zip(dists.iter()) {
+            if d < inflate * radius(results) {
                 let n = Neighbor::new(u, d);
                 queue.push(Reverse(n));
                 insert_into_pool(results, beam, n);
@@ -127,7 +98,7 @@ pub fn range_search_traced<T: RouteTracer>(
         }
         stats.pool_peak = stats.pool_peak.max(queue.len() as u64);
     }
-    results.clone()
+    results
 }
 
 #[cfg(test)]

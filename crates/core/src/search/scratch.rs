@@ -23,7 +23,7 @@ pub struct SearchScratch {
     pub(crate) pool: Vec<Neighbor>,
     /// Expansion flags parallel to `pool`.
     pub(crate) expanded: Vec<bool>,
-    /// Second bounded pool (filtered results, backtrack overflow mirror).
+    /// Second bounded pool (filtered and range results).
     pub(crate) results: Vec<Neighbor>,
     /// Unbounded min-heap (range search queue, backtrack overflow).
     pub(crate) heap: BinaryHeap<Reverse<Neighbor>>,
@@ -31,22 +31,6 @@ pub struct SearchScratch {
     pub(crate) batch_ids: Vec<u32>,
     /// Distances matching `batch_ids`, filled by `Dataset::dist_to_many`.
     pub(crate) batch_dists: Vec<f32>,
-}
-
-/// Inserts `n` (unexpanded) into a bounded nearest-first pool, keeping the
-/// expansion-flag vector parallel; returns the insertion position, or
-/// `None` when rejected (duplicate or beyond capacity).
-#[inline]
-pub(crate) fn insert_unexpanded(
-    pool: &mut Vec<Neighbor>,
-    expanded: &mut Vec<bool>,
-    cap: usize,
-    n: Neighbor,
-) -> Option<usize> {
-    let pos = weavess_data::neighbor::insert_into_pool(pool, cap, n)?;
-    expanded.insert(pos, false);
-    expanded.truncate(pool.len());
-    Some(pos)
 }
 
 impl SearchScratch {

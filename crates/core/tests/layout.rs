@@ -5,7 +5,7 @@
 //! fused arena with permuted seeds must return exactly the permuted
 //! neighbor set — same distances to the bit, same NDC and hops — as the
 //! original CSR + matrix. The permutation must survive a persist
-//! round-trip, and the prefetch toggle must never change a result.
+//! round-trip.
 
 use proptest::prelude::*;
 use weavess_core::components::SeedStrategy;
@@ -16,7 +16,6 @@ use weavess_core::search::{
     SearchScratch, SearchStats,
 };
 use weavess_core::{LayoutIndex, NodeLayout};
-use weavess_data::prefetch::set_prefetch_enabled;
 use weavess_data::synthetic::MixtureSpec;
 use weavess_data::{Dataset, Neighbor};
 use weavess_graph::base::exact_knng;
@@ -202,52 +201,5 @@ proptest! {
             }
             prop_assert_eq!(c1.stats, c2.stats);
         }
-    }
-}
-
-/// The prefetch toggle is a pure hint: flipping it must not move a
-/// single bit of any result. (Global toggle — restored before exit, and
-/// harmless to concurrent tests precisely because of this property.)
-#[test]
-fn prefetch_toggle_never_changes_results() {
-    let (ds, qs, g) = setup(7, 300);
-    let (perm, _rg, _rds, arena) = reorder_and_fuse(&ds, &g);
-    let seeds = [0u32, 150];
-    let mapped: Vec<u32> = seeds.iter().map(|&s| perm.to_new(s)).collect();
-    let mut scratch = SearchScratch::new(ds.len());
-    let run = |on: bool, scratch: &mut SearchScratch| {
-        set_prefetch_enabled(on);
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        for qi in 0..qs.len() as u32 {
-            scratch.next_epoch();
-            out.push(beam_search(
-                &ds,
-                &g,
-                qs.point(qi),
-                &seeds,
-                32,
-                scratch,
-                &mut stats,
-            ));
-            scratch.next_epoch();
-            out.push(beam_search(
-                &arena,
-                &arena,
-                qs.point(qi),
-                &mapped,
-                32,
-                scratch,
-                &mut stats,
-            ));
-        }
-        (out, stats)
-    };
-    let (on, stats_on) = run(true, &mut scratch);
-    let (off, stats_off) = run(false, &mut scratch);
-    set_prefetch_enabled(true);
-    assert_eq!(stats_on, stats_off);
-    for (a, b) in on.iter().zip(&off) {
-        assert_pools_identical(a, b, "prefetch toggle");
     }
 }

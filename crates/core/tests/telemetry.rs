@@ -1,9 +1,10 @@
 //! Telemetry integration suite: the observability layer must never change
 //! what it observes.
 //!
-//! - Tracing with a [`NoopTracer`] (or a [`RecordingTracer`]) through any
-//!   of the five search routines is the identity: bit-identical neighbor
-//!   pools and equal [`SearchStats`].
+//! - Tracing with a [`NoopTracer`] (or a [`RecordingTracer`]) through
+//!   [`Router::search_traced`] is the identity for every router:
+//!   bit-identical neighbor pools and equal [`SearchStats`], with one
+//!   recorded event per hop and a route that replays.
 //! - A recorded route dumps byte-stably across runs and across indexes
 //!   built at different thread counts, and replays against the dataset.
 //! - Batch histograms and their percentiles are worker-count independent.
@@ -17,11 +18,7 @@ use weavess_core::algorithms::hnsw::{self, HnswParams};
 use weavess_core::algorithms::nsg::{self, NsgParams};
 use weavess_core::algorithms::oa::{self, OaParams};
 use weavess_core::index::AnnIndex;
-use weavess_core::search::{
-    backtrack_search, backtrack_search_traced, beam_search, beam_search_traced,
-    filtered_beam_search, filtered_beam_search_traced, guided_search, guided_search_traced,
-    range_search, range_search_traced, SearchScratch, SearchStats,
-};
+use weavess_core::search::{Router, SearchScratch, SearchStats};
 use weavess_core::serve::{EngineOptions, QueryEngine};
 use weavess_core::telemetry::{profile_build, Histogram, NoopTracer, RecordingTracer};
 use weavess_data::synthetic::MixtureSpec;
@@ -94,9 +91,10 @@ proptest! {
         }
     }
 
-    /// Tracing is the identity on every routine: same pools to the bit,
+    /// Tracing is the identity on every router: same pools to the bit,
     /// same `SearchStats` (including `pool_peak`), whether the tracer is
-    /// the no-op or a full recorder.
+    /// the no-op or a full recorder — and the recorder sees one event per
+    /// hop along a route that replays against the dataset.
     #[test]
     fn tracing_is_identity_for_all_five_routines(
         seed in 0u64..80,
@@ -107,71 +105,33 @@ proptest! {
         let mut sc_a = SearchScratch::new(ds.len());
         let mut sc_b = SearchScratch::new(ds.len());
         let q = qs.point(0);
-        let pred = |id: u32| id.is_multiple_of(3);
-
-        // beam: plain vs noop vs recording.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = beam_search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = beam_search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_b, &mut NoopTracer);
-        assert_pools_identical(&a, &b, "beam noop");
-        prop_assert_eq!(st_a, st_b, "beam noop stats");
-        let mut rec = RecordingTracer::new();
-        let mut st_r = SearchStats::default();
-        sc_b.next_epoch();
-        let r = beam_search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_r, &mut rec);
-        assert_pools_identical(&a, &r, "beam recording");
-        prop_assert_eq!(st_a, st_r, "beam recording stats");
-        prop_assert_eq!(rec.hops() as u64, st_r.hops, "one event per hop");
-        prop_assert!(rec.replay_check(&ds, q), "recorded route must replay");
-
-        // backtrack.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = backtrack_search(&ds, &g, q, &seeds, beam, 4, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = backtrack_search_traced(
-            &ds, &g, q, &seeds, beam, 4, &mut sc_b, &mut st_b, &mut NoopTracer,
-        );
-        assert_pools_identical(&a, &b, "backtrack noop");
-        prop_assert_eq!(st_a, st_b, "backtrack noop stats");
-
-        // guided.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = guided_search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = guided_search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_b, &mut NoopTracer);
-        assert_pools_identical(&a, &b, "guided noop");
-        prop_assert_eq!(st_a, st_b, "guided noop stats");
-
-        // filtered.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = filtered_beam_search(&ds, &g, q, &seeds, 5, beam, &pred, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = filtered_beam_search_traced(
-            &ds, &g, q, &seeds, 5, beam, &pred, &mut sc_b, &mut st_b, &mut NoopTracer,
-        );
-        assert_pools_identical(&a, &b, "filtered noop");
-        prop_assert_eq!(st_a, st_b, "filtered noop stats");
-
-        // range.
-        let mut st_a = SearchStats::default();
-        let mut st_b = SearchStats::default();
-        sc_a.next_epoch();
-        let a = range_search(&ds, &g, q, &seeds, beam, 0.2, &mut sc_a, &mut st_a);
-        sc_b.next_epoch();
-        let b = range_search_traced(
-            &ds, &g, q, &seeds, beam, 0.2, &mut sc_b, &mut st_b, &mut NoopTracer,
-        );
-        assert_pools_identical(&a, &b, "range noop");
-        prop_assert_eq!(st_a, st_b, "range noop stats");
+        let routers = [
+            Router::BestFirst,
+            Router::Range { epsilon: 0.2 },
+            Router::Backtrack { extra: 4 },
+            Router::Guided,
+            Router::TwoStage { stage1_beam_frac: 0.5 },
+        ];
+        for router in &routers {
+            let mut st_a = SearchStats::default();
+            let mut st_b = SearchStats::default();
+            sc_a.next_epoch();
+            let a = router.search(&ds, &g, q, &seeds, beam, &mut sc_a, &mut st_a);
+            sc_b.next_epoch();
+            let b = router.search_traced(
+                &ds, &g, q, &seeds, beam, &mut sc_b, &mut st_b, &mut NoopTracer,
+            );
+            assert_pools_identical(&a, &b, &format!("{router:?} noop"));
+            prop_assert_eq!(st_a, st_b, "{:?} noop stats", router);
+            let mut rec = RecordingTracer::new();
+            let mut st_r = SearchStats::default();
+            sc_b.next_epoch();
+            let r = router.search_traced(&ds, &g, q, &seeds, beam, &mut sc_b, &mut st_r, &mut rec);
+            assert_pools_identical(&a, &r, &format!("{router:?} recording"));
+            prop_assert_eq!(st_a, st_r, "{:?} recording stats", router);
+            prop_assert_eq!(rec.hops() as u64, st_r.hops, "{:?}: one event per hop", router);
+            prop_assert!(rec.replay_check(&ds, q), "{:?}: recorded route must replay", router);
+        }
     }
 }
 

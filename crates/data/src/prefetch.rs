@@ -7,30 +7,12 @@
 //! work by requesting lines a few iterations ahead.
 //!
 //! Prefetching is a pure hardware hint: it never changes what is read or
-//! computed, so results, NDC, and hops are bit-identical with it on or
-//! off. It is therefore toggled at *runtime* (a relaxed atomic read per
-//! search call, not per line) so one binary can A/B it — `layout_bench`
-//! sweeps both states into `BENCH_layout.json`.
+//! computed, so results, NDC, and hops do not depend on it. It is always
+//! on: an on/off sweep over every layout × reorder cell found it faster
+//! in all four (EXPERIMENTS.md), so there is no switch to check on the
+//! hot path.
 //!
 //! On non-x86_64 targets the hint compiles to nothing.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide prefetch switch. Default on: the hint is free when the
-/// data is already cached and hides DRAM/L3 latency when it is not.
-static PREFETCH: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables all software prefetch hints (process-wide).
-pub fn set_prefetch_enabled(on: bool) {
-    PREFETCH.store(on, Ordering::Relaxed);
-}
-
-/// Current state of the prefetch switch. Hot paths read this once per
-/// search call and branch on a local.
-#[inline]
-pub fn prefetch_enabled() -> bool {
-    PREFETCH.load(Ordering::Relaxed)
-}
 
 /// Requests the cache line containing `p` (T0 hint: into all levels).
 /// Safe to call with any address — prefetch never faults.
@@ -62,16 +44,6 @@ pub fn prefetch_span<T>(p: *const T, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn toggle_roundtrips() {
-        let initial = prefetch_enabled();
-        set_prefetch_enabled(false);
-        assert!(!prefetch_enabled());
-        set_prefetch_enabled(true);
-        assert!(prefetch_enabled());
-        set_prefetch_enabled(initial);
-    }
 
     #[test]
     fn prefetch_accepts_any_address() {

@@ -25,6 +25,7 @@
 
 use crate::dataset::Dataset;
 use crate::distance::KernelTier;
+use crate::vectors::PREFETCH_AHEAD;
 use std::cell::RefCell;
 
 /// Per-tier SQ8 asymmetric kernels in residual form: given
@@ -223,15 +224,14 @@ impl Sq8Dataset {
     /// hoisted out of the candidate loop: one `q − min` pass per batch,
     /// then one fused kernel call per candidate. Each output is bit-equal
     /// to [`Sq8Dataset::dist_to`] on the same tier (both run the same
-    /// residual-form kernel). When prefetching is enabled the code lines
-    /// for id `j + 2` are requested while id `j` is scored, mirroring
+    /// residual-form kernel). The code lines for id `j + PREFETCH_AHEAD`
+    /// are requested while id `j` is scored, mirroring
     /// [`crate::VectorView::dist_to_many`].
     #[inline]
     pub fn dist_to_many(&self, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
         debug_assert_eq!(query.len(), self.dim);
         out.clear();
         out.reserve(ids.len());
-        let prefetch = crate::prefetch::prefetch_enabled();
         with_sq8_residual(query, &self.min, |residual| {
             // Tier resolved once per batch, not once per candidate.
             let kernel = match KernelTier::active() {
@@ -240,11 +240,9 @@ impl Sq8Dataset {
                 KernelTier::Simd => sq8_kernels::simd,
             };
             for (j, &id) in ids.iter().enumerate() {
-                if prefetch {
-                    if let Some(&ahead) = ids.get(j + 2) {
-                        let c = self.codes_of(ahead);
-                        crate::prefetch::prefetch_span(c.as_ptr(), c.len());
-                    }
+                if let Some(&ahead) = ids.get(j + PREFETCH_AHEAD) {
+                    let c = self.codes_of(ahead);
+                    crate::prefetch::prefetch_span(c.as_ptr(), c.len());
                 }
                 out.push(kernel(residual, &self.step, self.codes_of(id)));
             }

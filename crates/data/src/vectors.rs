@@ -11,18 +11,17 @@
 //! The provided [`VectorView::dist_to_many`] mirrors
 //! [`Dataset::dist_to_many`] bit-for-bit (same per-id kernel, same
 //! accumulation order) and adds software-prefetch look-ahead: while id
-//! `j` is being scored, the lines for id `j + AHEAD` are requested.
-//! Prefetch is a pure hint, so distances are unchanged with it on or off.
+//! `j` is being scored, the lines for id `j + PREFETCH_AHEAD` are
+//! requested. Prefetch is a pure hint, so distances do not depend on it.
 
 use crate::dataset::Dataset;
-use crate::prefetch::prefetch_enabled;
 use crate::quant::Sq8Dataset;
 
-/// How many ids ahead of the current one `dist_to_many` prefetches.
+/// How many ids ahead of the current one every `dist_to_many` prefetches.
 /// Scoring one vector costs tens of nanoseconds; two iterations of
 /// look-ahead covers an L3/DRAM miss without thrashing the L1 fill
 /// buffers.
-const PREFETCH_AHEAD: usize = 2;
+pub const PREFETCH_AHEAD: usize = 2;
 
 /// Read access to vector storage, as the search routines consume it.
 pub trait VectorView {
@@ -47,8 +46,7 @@ pub trait VectorView {
 
     /// Hints the cache that point `i`'s data is about to be read.
     /// Default: no-op. Implementations prefetch the head of the vector
-    /// (or fused block); callers gate on [`prefetch_enabled`] themselves
-    /// when issuing per-neighbor hints in a hot loop.
+    /// (or fused block).
     #[inline]
     fn prefetch_vector(&self, _i: u32) {}
 
@@ -56,20 +54,27 @@ pub trait VectorView {
     /// first), with prefetch look-ahead over the id list. Bit-equal to
     /// calling [`VectorView::dist_to`] per id.
     fn dist_to_many(&self, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(ids.len());
-        if prefetch_enabled() {
-            for (j, &id) in ids.iter().enumerate() {
-                if let Some(&ahead) = ids.get(j + PREFETCH_AHEAD) {
-                    self.prefetch_vector(ahead);
-                }
-                out.push(self.dist_to(query, id));
-            }
-        } else {
-            for &id in ids {
-                out.push(self.dist_to(query, id));
-            }
+        dist_to_many_per_id(self, query, ids, out);
+    }
+}
+
+/// The provided [`VectorView::dist_to_many`]: one
+/// [`VectorView::dist_to`] per id, prefetching [`PREFETCH_AHEAD`] ids
+/// ahead. Overrides that specialise only some storage formats fall back
+/// to it for the rest.
+pub fn dist_to_many_per_id<V: VectorView + ?Sized>(
+    view: &V,
+    query: &[f32],
+    ids: &[u32],
+    out: &mut Vec<f32>,
+) {
+    out.clear();
+    out.reserve(ids.len());
+    for (j, &id) in ids.iter().enumerate() {
+        if let Some(&ahead) = ids.get(j + PREFETCH_AHEAD) {
+            view.prefetch_vector(ahead);
         }
+        out.push(view.dist_to(query, id));
     }
 }
 
@@ -143,7 +148,6 @@ impl VectorView for Sq8Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefetch::set_prefetch_enabled;
     use crate::synthetic::MixtureSpec;
 
     #[test]
@@ -180,25 +184,6 @@ mod tests {
                 assert_eq!(view.dist_to(q, i).to_bits(), sq.dist_to(q, i).to_bits());
             }
         }
-    }
-
-    #[test]
-    fn prefetch_toggle_does_not_change_distances() {
-        let (ds, qs) = MixtureSpec::table10(24, 300, 3, 5.0, 2).generate();
-        let ids: Vec<u32> = (0..ds.len() as u32).collect();
-        let q = qs.point(0);
-        let initial = prefetch_enabled();
-        let mut on = Vec::new();
-        let mut off = Vec::new();
-        set_prefetch_enabled(true);
-        VectorView::dist_to_many(&ds, q, &ids, &mut on);
-        set_prefetch_enabled(false);
-        VectorView::dist_to_many(&ds, q, &ids, &mut off);
-        set_prefetch_enabled(initial);
-        assert_eq!(
-            on.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            off.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! bit-identical by construction.
 
 use crate::adjacency::{CsrGraph, GraphView};
-use weavess_data::prefetch::{prefetch_enabled, prefetch_span};
+use weavess_data::prefetch::prefetch_span;
 use weavess_data::quant::{sq8_distance, sq8_distance_prepped, with_sq8_residual, Sq8Dataset};
-use weavess_data::vectors::VectorView;
+use weavess_data::vectors::{dist_to_many_per_id, VectorView, PREFETCH_AHEAD};
 use weavess_data::Dataset;
 
 /// Words (u32) per 64-byte cache line.
@@ -266,33 +266,15 @@ impl VectorView for FusedArena {
     /// to split routing by construction. Other payloads keep the default
     /// per-id path with prefetch look-ahead.
     fn dist_to_many(&self, query: &[f32], ids: &[u32], out: &mut Vec<f32>) {
-        const AHEAD: usize = 2;
         let Payload::Sq8 { min, step, .. } = &self.payload else {
-            out.clear();
-            out.reserve(ids.len());
-            if prefetch_enabled() {
-                for (j, &id) in ids.iter().enumerate() {
-                    if let Some(&ahead) = ids.get(j + AHEAD) {
-                        self.prefetch_vector(ahead);
-                    }
-                    out.push(self.dist_to(query, id));
-                }
-            } else {
-                for &id in ids {
-                    out.push(self.dist_to(query, id));
-                }
-            }
-            return;
+            return dist_to_many_per_id(self, query, ids, out);
         };
         out.clear();
         out.reserve(ids.len());
-        let prefetch = prefetch_enabled();
         with_sq8_residual(query, min, |residual| {
             for (j, &id) in ids.iter().enumerate() {
-                if prefetch {
-                    if let Some(&ahead) = ids.get(j + AHEAD) {
-                        self.prefetch_vector(ahead);
-                    }
+                if let Some(&ahead) = ids.get(j + PREFETCH_AHEAD) {
+                    self.prefetch_vector(ahead);
                 }
                 out.push(sq8_distance_prepped(residual, step, self.sq8_codes(id)));
             }
