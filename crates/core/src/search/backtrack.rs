@@ -4,8 +4,8 @@
 //! FANNG "uses backtrack to the second-closest vertex and considers its
 //! edges that have not been explored yet". We run best-first to
 //! convergence while keeping every scored candidate the bounded pool
-//! rejected at insertion (beyond capacity, or a duplicate), then spend up
-//! to `extra` additional expansions on the nearest of those rejected
+//! rejected at insertion (it was full of nearer ones), then spend up to
+//! `extra` additional expansions on the nearest of those rejected
 //! candidates — slightly better accuracy for notably more search time, the
 //! trade-off Figure 10(f) reports for `C7_FANNG`. Entries that enter the
 //! pool and are later pushed off its end by nearer candidates are dropped,
