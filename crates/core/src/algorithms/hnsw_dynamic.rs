@@ -8,14 +8,15 @@
 //!   strategy needs no rebuild).
 //! - **Delete** is a tombstone: the vertex keeps routing (removing it
 //!   would fragment the graph) but never appears in results — the
-//!   standard production compromise (e.g. hnswlib's `markDelete`), with
-//!   [`DynamicHnsw::tombstone_fraction`] exposed so callers can schedule
-//!   rebuilds.
+//!   standard production compromise (e.g. hnswlib's `markDelete`).
+//!   [`DynamicHnsw::consolidate`] later repairs the edges around
+//!   tombstones, in parallel and bit-identically at any thread count.
 //! - **Search** uses the filtered traversal from
 //!   [`crate::search::filtered`] to skip tombstones.
 
 use crate::algorithms::hnsw::{self, HnswParams};
 use crate::components::selection::select_rng_alpha;
+use crate::parallel;
 use crate::search::{beam_search, filtered_beam_search, SearchScratch, SearchStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -125,7 +126,12 @@ impl DynamicHnsw {
         self.live
     }
 
-    /// Fraction of tombstoned points — rebuild when this grows large.
+    /// Fraction of all points ever inserted that are tombstoned.
+    ///
+    /// Tombstones keep their storage, so this never falls — not even
+    /// after [`Self::consolidate`]. It measures wasted memory (a signal
+    /// for a full rebuild), not repair debt: schedule `consolidate` by
+    /// the deletes made since its last call.
     pub fn tombstone_fraction(&self) -> f64 {
         if self.data.is_empty() {
             return 0.0;
@@ -273,59 +279,94 @@ impl DynamicHnsw {
     /// at a deleted one replaces its neighborhood by RNG-selecting from
     /// its live 2-hop neighborhood (routing *through* tombstones so their
     /// connectivity is inherited), and tombstoned vertices lose their
-    /// out-edges. Call when [`Self::tombstone_fraction`] grows large;
-    /// vector storage is not reclaimed (ids stay stable).
+    /// out-edges. If the entry point was deleted, the live vertex with the
+    /// highest level (lowest id on ties) takes its place.
+    ///
+    /// Vector storage is not reclaimed (ids stay stable), so
+    /// [`Self::tombstone_fraction`] does not fall afterwards; schedule
+    /// calls by the deletes made since the last one instead (e.g. every
+    /// 5% of [`Self::live_len`]). Each call's work grows with the number
+    /// of live vertices next to a tombstone.
+    ///
+    /// Vertices are repaired in parallel on `params.threads` workers
+    /// (0 = one per core); every new list is a pure function of the
+    /// graph before the call, so the result is bit-identical at any
+    /// thread count.
     ///
     /// Returns the number of vertices whose neighborhoods were rebuilt.
     pub fn consolidate(&mut self) -> usize {
         let n = self.data.len();
+        let threads = parallel::resolve_threads(self.params.threads);
+        let (data, deleted) = (&self.data, &self.deleted);
         let mut rebuilt = 0usize;
-        for l in 0..self.layers.len() {
+        for (l, layer) in self.layers.iter_mut().enumerate() {
             let max_deg = if l == 0 {
                 self.params.m0
             } else {
                 self.params.m
             };
-            let snapshot: Vec<Vec<u32>> = self.layers[l].clone();
-            for v in 0..n as u32 {
-                if self.deleted[v as usize] {
-                    continue;
-                }
-                if !snapshot[v as usize]
-                    .iter()
-                    .any(|&u| self.deleted[u as usize])
-                {
-                    continue;
-                }
-                // Live 2-hop neighborhood through tombstones.
-                let mut cands: Vec<Neighbor> = Vec::new();
-                for &u in &snapshot[v as usize] {
-                    if !self.deleted[u as usize] {
-                        push_unique(&mut cands, Neighbor::new(u, self.data.dist(v, u)));
-                    }
-                    for &w in &snapshot[u as usize] {
-                        if w != v && !self.deleted[w as usize] {
-                            push_unique(&mut cands, Neighbor::new(w, self.data.dist(v, w)));
+            // The layer itself is the read-only snapshot; repaired lists
+            // land beside it and replace their originals afterwards.
+            let snapshot = &*layer;
+            let mut repaired: Vec<Option<Vec<u32>>> = vec![None; n];
+            parallel::par_fill(
+                &mut repaired,
+                parallel::CHUNK,
+                threads,
+                // `stamp[w] == v`: w is already a candidate of v.
+                || (vec![u32::MAX; n], Vec::<Neighbor>::new()),
+                |(stamp, cands), start, slot| {
+                    for (j, out) in slot.iter_mut().enumerate() {
+                        let v = (start + j) as u32;
+                        let list = &snapshot[v as usize];
+                        if deleted[v as usize] || !list.iter().any(|&u| deleted[u as usize]) {
+                            continue;
                         }
+                        // Live 2-hop neighborhood through tombstones.
+                        cands.clear();
+                        let mut admit = |w: u32| {
+                            if stamp[w as usize] != v {
+                                stamp[w as usize] = v;
+                                cands.push(Neighbor::new(w, data.dist(v, w)));
+                            }
+                        };
+                        for &u in list {
+                            if !deleted[u as usize] {
+                                admit(u);
+                            }
+                            for &w in &snapshot[u as usize] {
+                                if w != v && !deleted[w as usize] {
+                                    admit(w);
+                                }
+                            }
+                        }
+                        cands.sort_unstable();
+                        *out = Some(
+                            select_rng_alpha(data, v, cands, max_deg, 1.0)
+                                .iter()
+                                .map(|x| x.id)
+                                .collect(),
+                        );
                     }
-                }
-                cands.sort_unstable();
-                self.layers[l][v as usize] = select_rng_alpha(&self.data, v, &cands, max_deg, 1.0)
-                    .iter()
-                    .map(|x| x.id)
-                    .collect();
-                rebuilt += 1;
-            }
-            // Tombstones stop routing entirely on this layer.
-            for v in 0..n {
-                if self.deleted[v] {
-                    self.layers[l][v].clear();
+                },
+            );
+            for (v, new) in repaired.into_iter().enumerate() {
+                if let Some(list) = new {
+                    layer[v] = list;
+                    rebuilt += 1;
+                } else if deleted[v] {
+                    // Tombstones stop routing entirely on this layer.
+                    layer[v].clear();
                 }
             }
         }
-        // The entry must be live; fall back to any live vertex.
+        // The entry must be live: the highest live vertex keeps searches
+        // descending the whole hierarchy.
         if self.deleted[self.enter as usize] {
-            if let Some(live) = (0..n as u32).find(|&v| !self.deleted[v as usize]) {
+            let highest = (0..n as u32)
+                .filter(|&v| !self.deleted[v as usize])
+                .min_by_key(|&v| (std::cmp::Reverse(self.levels[v as usize]), v));
+            if let Some(live) = highest {
                 self.enter = live;
                 self.enter_level = self.levels[live as usize];
             }
@@ -353,12 +394,6 @@ impl DynamicHnsw {
             }
             self.stats.hops += 1;
         }
-    }
-}
-
-fn push_unique(cands: &mut Vec<Neighbor>, n: Neighbor) {
-    if !cands.iter().any(|c| c.id == n.id) {
-        cands.push(n);
     }
 }
 
@@ -505,6 +540,93 @@ mod tests {
         assert!(recall > 0.85, "post-consolidate recall {recall}");
     }
 
+    /// The original serial repair, kept as the reference: a cloned
+    /// snapshot and a candidate list deduplicated by linear scan, with
+    /// each distance computed before the duplicate check.
+    fn reference_consolidate(idx: &DynamicHnsw) -> Vec<Vec<Vec<u32>>> {
+        fn push_if_new(cands: &mut Vec<Neighbor>, n: Neighbor) {
+            if !cands.iter().any(|c| c.id == n.id) {
+                cands.push(n);
+            }
+        }
+        let n = idx.data.len();
+        let mut layers = idx.layers.clone();
+        for (l, layer) in layers.iter_mut().enumerate() {
+            let max_deg = if l == 0 { idx.params.m0 } else { idx.params.m };
+            let snapshot: Vec<Vec<u32>> = layer.clone();
+            for v in 0..n as u32 {
+                if idx.deleted[v as usize] {
+                    continue;
+                }
+                if !snapshot[v as usize]
+                    .iter()
+                    .any(|&u| idx.deleted[u as usize])
+                {
+                    continue;
+                }
+                let mut cands: Vec<Neighbor> = Vec::new();
+                for &u in &snapshot[v as usize] {
+                    if !idx.deleted[u as usize] {
+                        push_if_new(&mut cands, Neighbor::new(u, idx.data.dist(v, u)));
+                    }
+                    for &w in &snapshot[u as usize] {
+                        if w != v && !idx.deleted[w as usize] {
+                            push_if_new(&mut cands, Neighbor::new(w, idx.data.dist(v, w)));
+                        }
+                    }
+                }
+                cands.sort_unstable();
+                layer[v as usize] = select_rng_alpha(&idx.data, v, &cands, max_deg, 1.0)
+                    .iter()
+                    .map(|x| x.id)
+                    .collect();
+            }
+            for (v, list) in layer.iter_mut().enumerate() {
+                if idx.deleted[v] {
+                    list.clear();
+                }
+            }
+        }
+        layers
+    }
+
+    #[test]
+    fn consolidate_matches_the_serial_reference_bit_for_bit() {
+        let (base, extra) = vectors(1_200);
+        for percent in [5u32, 33, 60] {
+            let mut idx = build_dynamic(&base);
+            // A fixed scatter of ids, so tombstones are not one cluster.
+            let mut victims: Vec<u32> = (0..base.len() as u32)
+                .filter(|&id| id.wrapping_mul(2_654_435_761) % 100 < percent)
+                .collect();
+            for &id in &victims {
+                idx.delete(id);
+            }
+            let expected = reference_consolidate(&idx);
+            let rebuilt = idx.consolidate();
+            assert!(rebuilt > 0);
+            assert!(idx.layers == expected, "{percent}% delete diverges");
+
+            // A second round on the repaired graph: more inserts, then
+            // more deletes among both old and new points.
+            for i in 0..extra.len() as u32 {
+                idx.insert(extra.point(i));
+            }
+            victims = (0..idx.len() as u32)
+                .filter(|&id| !idx.deleted[id as usize] && id % 7 == 3)
+                .collect();
+            for &id in &victims {
+                idx.delete(id);
+            }
+            let expected = reference_consolidate(&idx);
+            idx.consolidate();
+            assert!(
+                idx.layers == expected,
+                "{percent}% delete, second round diverges"
+            );
+        }
+    }
+
     #[test]
     fn consolidate_moves_a_deleted_entry_point() {
         let (base, _) = vectors(400);
@@ -514,6 +636,23 @@ mod tests {
         idx.consolidate();
         assert_ne!(idx.enter, entry_before);
         assert!(!idx.deleted[idx.enter as usize]);
+        // The replacement is the highest live vertex (lowest id on ties),
+        // so searches still descend the whole remaining hierarchy.
+        let top_live = (0..idx.len())
+            .filter(|&v| !idx.deleted[v])
+            .map(|v| idx.levels[v])
+            .max()
+            .unwrap();
+        assert_eq!(idx.enter_level, top_live);
+        assert_eq!(idx.levels[idx.enter as usize], top_live);
+        let first_at_top = (0..idx.len() as u32)
+            .find(|&v| !idx.deleted[v as usize] && idx.levels[v as usize] == top_live)
+            .unwrap();
+        assert_eq!(idx.enter, first_at_top);
+        assert!(
+            top_live > 0,
+            "fixture should keep a live upper-layer vertex"
+        );
         let res = idx.search(base.point(3), 5, 40);
         assert_eq!(res.len(), 5);
     }

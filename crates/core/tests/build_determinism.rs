@@ -7,7 +7,9 @@
 //! same way `kernel_modes.rs` guards the distance kernels: build each
 //! index at 1, 2, and 8 threads and require byte-identical results, via
 //! an FNV-1a digest of the adjacency (and, where an index persists, of
-//! the exact serialized bytes).
+//! the exact serialized bytes). `DynamicHnsw::consolidate`, the one
+//! parallel phase that rewrites a graph after construction, is held to
+//! the same promise.
 //!
 //! CI runs this file under both kernel modes (default and
 //! `paper-fidelity`), so the guarantee holds for either distance flavor.
@@ -263,6 +265,46 @@ fn dynamic_hnsw_behaves_identically_after_parallel_bulk_load() {
         let (rt, st) = run(t);
         assert_eq!(r1, rt, "search results diverge after {t}-thread bulk load");
         assert_eq!(s1, st, "search work diverges after {t}-thread bulk load");
+    }
+}
+
+/// `consolidate` repairs vertices on `params.threads` workers; the same
+/// deletes must leave the same graph at every count — checked through
+/// search results and their NDC, both right after the repair and after
+/// inserts and a second repair on top of it.
+#[test]
+fn dynamic_hnsw_consolidates_identically_at_1_2_8_threads() {
+    let (base, extra) = MixtureSpec::table10(12, 600, 3, 3.0, 80).generate();
+    let searches = |idx: &mut DynamicHnsw, from: u32| -> (Vec<Vec<u32>>, Vec<u64>) {
+        let mut results = Vec::new();
+        let mut ndcs = Vec::new();
+        for i in from..from + 30 {
+            let r = idx.search(extra.point(i), 10, 40);
+            results.push(r.iter().map(|n| n.id).collect());
+            ndcs.push(idx.take_stats().ndc);
+        }
+        (results, ndcs)
+    };
+    let run = |threads: usize| {
+        let mut idx = DynamicHnsw::bulk_load(&base, HnswParams::tuned(threads, 5));
+        for id in (0..base.len() as u32).filter(|id| id % 3 == 0) {
+            idx.delete(id);
+        }
+        let first_rebuilt = idx.consolidate();
+        let first = searches(&mut idx, 0);
+        for i in 30..50u32 {
+            idx.insert(extra.point(i));
+        }
+        for id in (0..idx.len() as u32).filter(|id| id % 5 == 1) {
+            idx.delete(id);
+        }
+        let rebuilt = [first_rebuilt, idx.consolidate()];
+        (rebuilt, first, searches(&mut idx, 50))
+    };
+    let reference = run(1);
+    assert!(reference.0.iter().all(|&r| r > 0));
+    for &t in &THREAD_SWEEP[1..] {
+        assert_eq!(reference, run(t), "consolidate diverges at {t} threads");
     }
 }
 
